@@ -17,18 +17,16 @@ import (
 
 	"peoplesnet"
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/core"
 	"peoplesnet/internal/etl"
 	"peoplesnet/internal/names"
 )
 
 func main() {
 	pocWeight := flag.Float64("poc-weight", 600, "notional transactions per sampled PoC receipt")
-	fullscan := flag.Bool("fullscan", false, "scan raw blocks instead of building the ETL index")
 	storeDir := flag.String("store", "", "durable ETL store directory: reloaded if present, created and caught up otherwise")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: chainalyze [-poc-weight N] [-fullscan] [-store DIR] <chain.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: chainalyze [-poc-weight N] [-store DIR] <chain.jsonl>")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -42,11 +40,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chainalyze: replay:", err)
 		os.Exit(1)
 	}
-	d := &core.Dataset{Chain: c, PoCWeight: *pocWeight}
-	switch {
-	case *storeDir != "":
+	var store *etl.Store
+	if *storeDir != "" {
 		start := time.Now()
-		store, err := etl.Open(*storeDir, etl.Config{})
+		store, err = etl.Open(*storeDir, etl.Config{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chainalyze: store:", err)
 			os.Exit(1)
@@ -69,34 +66,24 @@ func main() {
 		fmt.Printf("store: %s reloaded to height %d in %v, caught up to %d (%d/%d segments loaded, %d WAL blocks)\n",
 			*storeDir, reloaded, opened.Round(time.Millisecond), store.Height(),
 			h.SegmentsLoaded, h.Segments, h.WALDepth)
-		// The open store is measured in place — MeasureStore never
-		// rebuilds an index the directory already holds.
-		study := peoplesnet.MeasureStoreWith(store, nil,
-			peoplesnet.MeasureOptions{ResaleTopN: 10, PoCWeight: *pocWeight})
-		printReport(c, study.Summary, study.Moves, study.Growth, study.Ownership,
-			study.Resale, study.Traffic, study.Audit)
-		return
-	case !*fullscan:
+	} else {
 		start := time.Now()
-		store := etl.FromChain(c)
+		store = etl.FromChain(c)
 		st := store.Stats()
 		fmt.Printf("etl: %d segments (+%d pending blocks) in %v, %d type / %d actor postings\n",
 			st.Segments, st.PendingBlocks, time.Since(start).Round(time.Millisecond),
 			st.TypePostings, st.ActorPostings)
-		d.Chain = store.View()
 	}
-
-	printReport(c, d.SummarizeChain(), d.AnalyzeMoves(), d.AnalyzeGrowth(),
-		d.AnalyzeOwnership(), d.AnalyzeResale(10), d.AnalyzeTraffic(),
-		d.AuditIncentives(1, 100))
+	// The store is measured in place — MeasureStore never rebuilds an
+	// index the store already holds.
+	printReport(c, peoplesnet.MeasureStoreWith(store, nil,
+		peoplesnet.MeasureOptions{ResaleTopN: 10, PoCWeight: *pocWeight}))
 }
 
-// printReport renders the chain-derived analyses; both the store path
-// (measured via peoplesnet.MeasureStoreWith) and the scan paths feed
-// it the same value types.
-func printReport(c *chain.Chain, s core.ChainSummary, m core.MoveAnalysis,
-	g core.GrowthAnalysis, o core.OwnershipAnalysis, r core.ResaleAnalysis,
-	tr core.TrafficAnalysis, audit core.IncentiveAudit) {
+// printReport renders the chain-derived analyses of a study.
+func printReport(c *chain.Chain, study *peoplesnet.Study) {
+	s, m, g, o := study.Summary, study.Moves, study.Growth, study.Ownership
+	r, tr, audit := study.Resale, study.Traffic, study.Audit
 	fmt.Printf("chain: %d blocks to height %d, %d txns (notional), PoC %.2f%%\n",
 		len(c.Blocks()), c.Height(), s.TotalTxns, s.PoCFraction*100)
 

@@ -34,6 +34,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -271,7 +272,7 @@ func (s *server) handleETL(w http.ResponseWriter, _ *http.Request) {
 		federation := map[string]any{
 			"partition":    part.Name(),
 			"num_shards":   part.NumShards(),
-			"source_tip":   s.world.Chain.Height(),
+			"source_tip":   s.store.Height(),
 			"shards":       s.cluster.Shards(),
 			"result_cache": s.cluster.Router().CacheStats(),
 		}
@@ -365,7 +366,7 @@ func (s *server) handleTxns(w http.ResponseWriter, r *http.Request) {
 // only new blocks). ?full=1 includes transaction bodies.
 func (s *server) handleTail(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	after := s.world.Chain.Height()
+	after := s.store.Height()
 	var err error
 	if v := q.Get("after"); v != "" {
 		if after, err = strconv.ParseInt(v, 10, 64); err != nil {
@@ -457,14 +458,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	s, err := newServer(world, *storeDir, *shards, *partition)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
+
+	log.Printf("explorer listening on http://%s (stats, hotspots, coverage, report, study, etl, txns, tail)", *listen)
+	log.Fatal(http.ListenAndServe(*listen, s.routes()))
+}
+
+// newServer is the explorer's start-up over a generated world. The
+// chain is only the write path: it feeds one ETL store — in memory, or
+// durable under storeDir with a follower ingesting blocks the chain
+// appends later — and every reader follows that store: the batch
+// study, the live study, and the federated shards.
+func newServer(world *peoplesnet.World, storeDir string, shards int, scheme string) (*server, error) {
 	s := &server{world: world}
-	if *storeDir != "" {
-		store, err := etl.Open(*storeDir, etl.Config{})
+	if storeDir != "" {
+		store, err := etl.Open(storeDir, etl.Config{})
 		if err != nil {
-			log.Fatal("store: ", err)
+			return nil, fmt.Errorf("store: %w", err)
 		}
 		log.Printf("store: reloaded %s to height %d (%d segments, %d quarantined)",
-			*storeDir, store.Height(), store.Health().Segments, store.Health().Quarantined)
+			storeDir, store.Height(), store.Health().Segments, store.Health().Quarantined)
 		if err := store.Repair(world.Chain); err != nil {
 			log.Printf("store: repair: %v (serving with gaps; see /etl)", err)
 		}
@@ -472,7 +489,8 @@ func main() {
 		// below measures the full chain, then keep following for
 		// anything appended later.
 		if err := store.BulkLoad(world.Chain); err != nil {
-			log.Fatal("store: catch-up: ", err)
+			store.Close()
+			return nil, fmt.Errorf("store: catch-up: %w", err)
 		}
 		s.store = store
 		s.follower = store.FollowChain(world.Chain)
@@ -483,16 +501,20 @@ func main() {
 	// reloaded) exactly once, never rebuilt just to render a report.
 	s.study = peoplesnet.MeasureStore(s.store, world)
 	s.live = peoplesnet.Live(s.store, world, peoplesnet.DefaultMeasureOptions())
-	defer s.live.Close()
 
-	cluster, err := buildCluster(world.Chain, *shards, *partition)
+	cluster, err := buildCluster(s.store, shards, scheme)
 	if err != nil {
-		log.Fatal(err)
+		s.Close()
+		return nil, err
 	}
 	s.cluster = cluster
 	log.Printf("federation: %d %s-partitioned shards caught up to height %d",
-		*shards, *partition, world.Chain.Height())
+		shards, scheme, s.store.Height())
+	return s, nil
+}
 
+// routes maps every endpoint to its handler.
+func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/hotspots", s.handleHotspots)
@@ -504,25 +526,38 @@ func main() {
 	mux.HandleFunc("/etl", s.handleETL)
 	mux.HandleFunc("/txns", s.handleTxns)
 	mux.HandleFunc("/tail", s.handleTail)
+	return mux
+}
 
-	log.Printf("explorer listening on http://%s (stats, hotspots, coverage, report, study, etl, txns, tail)", *listen)
-	log.Fatal(http.ListenAndServe(*listen, mux))
+// Close stops every reader and the follower, then flushes the store.
+func (s *server) Close() error {
+	var errs []error
+	if s.cluster != nil {
+		errs = append(errs, s.cluster.Close())
+	}
+	s.live.Close()
+	if s.follower != nil {
+		errs = append(errs, s.follower.Close())
+	}
+	errs = append(errs, s.store.Close())
+	return errors.Join(errs...)
 }
 
 // buildCluster stands up the in-process federated tier behind /txns,
-// /tail, and /etl's shard health, and waits for it to catch up to the
-// chain tip before serving.
-func buildCluster(c *chain.Chain, shards int, scheme string) (*fed.Cluster, error) {
+// /tail, and /etl's shard health over the store, and waits for it to
+// catch up to the store's tip before serving.
+func buildCluster(store *etl.Store, shards int, scheme string) (*fed.Cluster, error) {
+	tip := store.Height()
 	var part fed.Partition
 	switch scheme {
 	case "height":
-		part = fed.ByHeight(shards, c.Height())
+		part = fed.ByHeight(shards, tip)
 	case "region":
 		part = fed.ByRegion(shards)
 	default:
 		return nil, fmt.Errorf("unknown partition scheme %q (want height or region)", scheme)
 	}
-	cluster := fed.FollowChain(c, part, fed.Options{
+	cluster := fed.FollowStore(store, part, fed.Options{
 		PerShardTimeout: 10 * time.Second,
 		LagBudget:       64,
 	})
@@ -532,7 +567,7 @@ func buildCluster(c *chain.Chain, shards int, scheme string) (*fed.Cluster, erro
 	cluster.Supervise(fed.SupervisorOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := cluster.WaitHeight(ctx, c.Height()); err != nil {
+	if err := cluster.WaitHeight(ctx, tip); err != nil {
 		cluster.Close()
 		return nil, fmt.Errorf("federation catch-up: %w", err)
 	}

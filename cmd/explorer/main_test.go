@@ -1,16 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"peoplesnet"
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/etl"
 	"peoplesnet/internal/names"
 )
 
@@ -20,30 +22,25 @@ var (
 	srvErr  error
 )
 
+// testWorld generates a scaled-down world for one server.
+func testWorld() (*peoplesnet.World, error) {
+	cfg := peoplesnet.SmallWorld(55)
+	cfg.Days = 250
+	cfg.TargetHotspots = 300
+	return peoplesnet.Simulate(cfg)
+}
+
+// testServer runs the explorer's start-up once per test binary, with
+// its default in-memory store and 4 region shards.
 func testServer(t *testing.T) *server {
 	t.Helper()
 	srvOnce.Do(func() {
-		cfg := peoplesnet.SmallWorld(55)
-		cfg.Days = 250
-		cfg.TargetHotspots = 300
-		world, err := peoplesnet.Simulate(cfg)
+		world, err := testWorld()
 		if err != nil {
 			srvErr = err
 			return
 		}
-		cluster, err := buildCluster(world.Chain, 4, "region")
-		if err != nil {
-			srvErr = err
-			return
-		}
-		store := etl.FromChain(world.Chain)
-		srv = &server{
-			world:   world,
-			study:   peoplesnet.MeasureStore(store, world),
-			store:   store,
-			live:    peoplesnet.Live(store, world, peoplesnet.DefaultMeasureOptions()),
-			cluster: cluster,
-		}
+		srv, srvErr = newServer(world, "", 4, "region")
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)
@@ -51,22 +48,8 @@ func testServer(t *testing.T) *server {
 	return srv
 }
 
-func mux(s *server) *http.ServeMux {
-	m := http.NewServeMux()
-	m.HandleFunc("/stats", s.handleStats)
-	m.HandleFunc("/hotspots", s.handleHotspots)
-	m.HandleFunc("/hotspots/", s.handleHotspots)
-	m.HandleFunc("/coverage", s.handleCoverage)
-	m.HandleFunc("/report", s.handleReport)
-	m.HandleFunc("/study", s.handleStudy)
-	m.HandleFunc("/etl", s.handleETL)
-	m.HandleFunc("/txns", s.handleTxns)
-	m.HandleFunc("/tail", s.handleTail)
-	return m
-}
-
 func TestStatsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(mux(testServer(t)))
+	ts := httptest.NewServer(testServer(t).routes())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -89,7 +72,7 @@ func TestStatsEndpoint(t *testing.T) {
 
 func TestHotspotsEndpoint(t *testing.T) {
 	s := testServer(t)
-	ts := httptest.NewServer(mux(s))
+	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/hotspots")
@@ -139,7 +122,7 @@ func TestHotspotsEndpoint(t *testing.T) {
 }
 
 func TestCoverageEndpoint(t *testing.T) {
-	ts := httptest.NewServer(mux(testServer(t)))
+	ts := httptest.NewServer(testServer(t).routes())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/coverage")
 	if err != nil {
@@ -156,7 +139,7 @@ func TestCoverageEndpoint(t *testing.T) {
 }
 
 func TestReportEndpoint(t *testing.T) {
-	ts := httptest.NewServer(mux(testServer(t)))
+	ts := httptest.NewServer(testServer(t).routes())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/report")
 	if err != nil {
@@ -174,7 +157,7 @@ func TestReportEndpoint(t *testing.T) {
 // the concatenated pages equal the raw chain's listing exactly.
 func TestTxnsFederatedPagination(t *testing.T) {
 	s := testServer(t)
-	ts := httptest.NewServer(mux(s))
+	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	type txnRow struct {
@@ -254,7 +237,7 @@ func TestStudyEndpoint(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ts := httptest.NewServer(mux(s))
+	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/study")
@@ -332,7 +315,7 @@ func TestStudyEndpoint(t *testing.T) {
 // TestETLFederationHealth asserts /etl reports per-shard lag fields.
 func TestETLFederationHealth(t *testing.T) {
 	s := testServer(t)
-	ts := httptest.NewServer(mux(s))
+	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/etl")
@@ -391,7 +374,7 @@ func TestETLFederationHealth(t *testing.T) {
 // they match the chain.
 func TestTailEndpoint(t *testing.T) {
 	s := testServer(t)
-	ts := httptest.NewServer(mux(s))
+	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/tail?after=-1&limit=5")
@@ -417,5 +400,84 @@ func TestTailEndpoint(t *testing.T) {
 		if line.Height != want.Height || line.Hash != want.Hash || line.TxnCount != len(want.Txns) {
 			t.Fatalf("tail line %d = %+v, want (h=%d, %s, %d txns)", i, line, want.Height, want.Hash, len(want.Txns))
 		}
+	}
+}
+
+// TestStoreModeFollowsChain runs the -store start-up and appends a
+// block to the world chain afterwards: it must reach /txns and /study,
+// which proves the chain → store follower → shards and live feed.
+func TestStoreModeFollowsChain(t *testing.T) {
+	world, err := testWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(world, filepath.Join(t.TempDir(), "store"), 2, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	h := world.Chain.Height() + 1
+	gw := &chain.AddGateway{Gateway: "sim1hs-appended", Owner: world.World.Owners[0].Address}
+	if _, err := world.Chain.AppendBlock(h, []chain.Txn{gw}); err != nil {
+		t.Fatal(err)
+	}
+
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Query /txns once every shard holds h. Asked earlier, a shard still
+	// one block behind would answer without the block, and the router's
+	// result cache would keep that answer for as long as the store's
+	// tip stays at h.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.cluster.WaitHeight(ctx, h); err != nil {
+		t.Fatalf("shards never reached the appended height %d: %v", h, err)
+	}
+	var txns struct {
+		Txns []struct {
+			Height int64          `json:"height"`
+			Txn    map[string]any `json:"txn"`
+		} `json:"txns"`
+	}
+	getJSON(fmt.Sprintf("/txns?type=add_gateway&from=%d", h), &txns)
+	if len(txns.Txns) != 1 || txns.Txns[0].Height != h || txns.Txns[0].Txn["gateway"] != gw.Gateway {
+		t.Fatalf("/txns after append = %+v, want the one add_gateway at height %d", txns.Txns, h)
+	}
+
+	var study struct {
+		Height int64 `json:"height"`
+		Growth struct {
+			Total int64 `json:"total"`
+		} `json:"growth"`
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for getJSON("/study", &study); study.Height < h; getJSON("/study", &study) {
+		if time.Now().After(deadline) {
+			t.Fatalf("/study stuck at height %d, want %d", study.Height, h)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if study.Height != h || study.Growth.Total != int64(s.study.Growth.Total)+1 {
+		t.Fatalf("/study after append: height %d growth total %d, want %d and %d",
+			study.Height, study.Growth.Total, h, s.study.Growth.Total+1)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -52,44 +53,61 @@ import (
 
 func main() {
 	var (
-		scale       = flag.String("scale", "small", "world scale: small (~1/20) or paper (~44k hotspots)")
-		seed        = flag.Uint64("seed", 7, "world and query-mix seed")
-		shardsFlag  = flag.String("shards", "1,2,4,8", "comma-separated cluster sizes to sweep")
-		partsFlag   = flag.String("partitions", "height,region", "comma-separated partition schemes")
-		queries     = flag.Int("queries", 64, "queries per class per topology")
-		concurrency = flag.Int("concurrency", 4, "concurrent query workers")
-		verify      = flag.Int("verify", 8, "queries per class checked against the raw-chain reference (0 disables)")
-		bench       = flag.Bool("bench", false, "emit go-bench lines on stdout for cmd/benchjson")
-		timeout     = flag.Duration("timeout", 10*time.Second, "per-shard timeout")
-		mttr        = flag.Bool("mttr", false, "run the follower MTTR experiment (kill + measured re-convergence, cold vs resume) instead of the load sweep")
-		trials      = flag.Int("trials", 3, "kill/recover trials per MTTR cell (median reported)")
+		scale = flag.String("scale", "small", "world scale: small (~1/20) or paper (~44k hotspots)")
+		seed  = flag.Uint64("seed", 7, "world and query-mix seed")
+		o     options
 	)
+	flag.StringVar(&o.shards, "shards", "1,2,4,8", "comma-separated cluster sizes to sweep")
+	flag.StringVar(&o.partitions, "partitions", "height,region", "comma-separated partition schemes")
+	flag.IntVar(&o.queries, "queries", 64, "queries per class per topology")
+	flag.IntVar(&o.concurrency, "concurrency", 4, "concurrent query workers")
+	flag.IntVar(&o.verify, "verify", 8, "queries per class checked against the raw-chain reference (0 disables)")
+	flag.BoolVar(&o.bench, "bench", false, "emit go-bench lines on stdout for cmd/benchjson")
+	flag.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-shard timeout")
+	flag.BoolVar(&o.mttr, "mttr", false, "run the follower MTTR experiment (kill + measured re-convergence, cold vs resume) instead of the load sweep")
+	flag.IntVar(&o.trials, "trials", 3, "kill/recover trials per MTTR cell (median reported)")
 	flag.Parse()
 
-	if err := run(*scale, *seed, *shardsFlag, *partsFlag, *queries, *concurrency, *verify, *bench, *timeout, *mttr, *trials); err != nil {
+	var cfg peoplesnet.WorldConfig
+	switch *scale {
+	case "small":
+		cfg = peoplesnet.SmallWorld(*seed)
+	case "paper":
+		cfg = peoplesnet.PaperWorld(*seed)
+	default:
+		fmt.Fprintf(os.Stderr, "fedload: unknown -scale %q (want small or paper)\n", *scale)
+		os.Exit(1)
+	}
+	o.scale = *scale
+	// Human-readable reporting goes to stdout, or to stderr when -bench
+	// claims stdout for machine-readable lines.
+	out := os.Stdout
+	if o.bench {
+		out = os.Stderr
+	}
+	if err := run(out, cfg, o); err != nil {
 		fmt.Fprintln(os.Stderr, "fedload:", err)
 		os.Exit(1)
 	}
 }
 
-// out is where human-readable reporting goes: stdout normally, stderr
-// when -bench claims stdout for machine-readable lines.
-var out *os.File = os.Stdout
+// options carries fedload's flags; scale only labels the report.
+type options struct {
+	scale              string
+	shards, partitions string
+	queries            int
+	concurrency        int
+	verify             int
+	bench              bool
+	timeout            time.Duration
+	mttr               bool
+	trials             int
+}
 
-func run(scale string, seed uint64, shardsFlag, partsFlag string, queries, concurrency, verify int, bench bool, timeout time.Duration, mttr bool, trials int) error {
-	if bench {
-		out = os.Stderr
-	}
-	var cfg peoplesnet.WorldConfig
-	switch scale {
-	case "small":
-		cfg = peoplesnet.SmallWorld(seed)
-	case "paper":
-		cfg = peoplesnet.PaperWorld(seed)
-	default:
-		return fmt.Errorf("unknown -scale %q (want small or paper)", scale)
-	}
-
+// run generates the world, loads it into the one upstream store every
+// cluster follows, and runs the load sweep or the MTTR experiment,
+// reporting to out.
+func run(out io.Writer, cfg peoplesnet.WorldConfig, o options) error {
 	genStart := time.Now()
 	world, err := peoplesnet.Simulate(cfg)
 	if err != nil {
@@ -102,18 +120,19 @@ func run(scale string, seed uint64, shardsFlag, partsFlag string, queries, concu
 		txns += int64(len(b.Txns))
 	}
 	fmt.Fprintf(out, "fedload: scale=%s seed=%d blocks=%d txns=%d tip=%d gen=%s\n",
-		scale, seed, len(blocks), txns, c.Height(), time.Since(genStart).Round(time.Millisecond))
+		o.scale, cfg.Seed, len(blocks), txns, c.Height(), time.Since(genStart).Round(time.Millisecond))
+	up := etl.FromChain(c)
 
-	shardCounts, err := parseInts(shardsFlag)
+	shardCounts, err := parseInts(o.shards)
 	if err != nil {
 		return fmt.Errorf("-shards: %w", err)
 	}
-	if mttr {
-		return runMTTR(c, shardCounts, trials, bench)
+	if o.mttr {
+		return runMTTR(out, up, shardCounts, o.trials, o.bench)
 	}
-	schemes := strings.Split(partsFlag, ",")
+	schemes := strings.Split(o.partitions, ",")
 
-	classes := buildClasses(c, seed, queries)
+	classes := buildClasses(c, cfg.Seed, o.queries)
 
 	// References are per (class, query-index) and identical across
 	// topologies, so compute each lazily once and reuse.
@@ -142,7 +161,7 @@ func run(scale string, seed uint64, shardsFlag, partsFlag string, queries, concu
 			}
 
 			buildStart := time.Now()
-			cluster := fed.FollowChain(c, part, fed.Options{PerShardTimeout: timeout, LagBudget: 64})
+			cluster := fed.FollowStore(up, part, fed.Options{PerShardTimeout: o.timeout, LagBudget: 64})
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			err := cluster.WaitHeight(ctx, c.Height())
 			cancel()
@@ -156,13 +175,13 @@ func run(scale string, seed uint64, shardsFlag, partsFlag string, queries, concu
 			tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "  class\tqueries\tP50(µs)\tP99(µs)\tprecision\tverified")
 			for _, cl := range classes {
-				m, err := runClass(cluster, cl, concurrency)
+				m, err := runClass(cluster, cl, o.concurrency)
 				if err != nil {
 					cluster.Close()
 					return fmt.Errorf("partition=%s shards=%d class=%s: %w", scheme, n, cl.name, err)
 				}
 				checked := 0
-				for qi := 0; qi < verify && qi < len(cl.queries); qi++ {
+				for qi := 0; qi < o.verify && qi < len(cl.queries); qi++ {
 					res, err := cluster.Query(context.Background(), cl.queries[qi])
 					if err != nil {
 						cluster.Close()
@@ -175,8 +194,8 @@ func run(scale string, seed uint64, shardsFlag, partsFlag string, queries, concu
 					checked++
 				}
 				fmt.Fprintf(tw, "  %s\t%d\t%d\t%d\t%.3f\t%d/%d\n",
-					cl.name, len(cl.queries), m.p50.Microseconds(), m.p99.Microseconds(), m.precision, checked, min(verify, len(cl.queries)))
-				if bench {
+					cl.name, len(cl.queries), m.p50.Microseconds(), m.p99.Microseconds(), m.precision, checked, min(o.verify, len(cl.queries)))
+				if o.bench {
 					name := fmt.Sprintf("BenchmarkFedload/partition=%s/shards=%d/%s", scheme, n, cl.name)
 					fmt.Printf("%s-1 \t%d\t%d ns/op\t%d p50-ns\t%d p99-ns\t%.3f precision\n",
 						name, len(cl.queries), m.mean.Nanoseconds(), m.p50.Nanoseconds(), m.p99.Nanoseconds(), m.precision)
@@ -202,11 +221,11 @@ func run(scale string, seed uint64, shardsFlag, partsFlag string, queries, concu
 //     blocks it missed (none, for a static chain).
 //
 // The ratio between the two is the value of durable checkpoints.
-func runMTTR(c *chain.Chain, shardCounts []int, trials int, bench bool) error {
+func runMTTR(out io.Writer, up *etl.Store, shardCounts []int, trials int, bench bool) error {
 	if trials < 1 {
 		trials = 1
 	}
-	tip := c.Height()
+	tip := up.Height()
 	fmt.Fprintf(out, "\nfollower MTTR: kill shard 0, median of %d trials, supervised recovery to tip %d\n", trials, tip)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  shards\tcold(ms)\tresume(ms)\tspeedup")
@@ -217,7 +236,7 @@ func runMTTR(c *chain.Chain, shardCounts []int, trials int, bench bool) error {
 			if err != nil {
 				return err
 			}
-			d, err := measureMTTR(c, n, mode == "cold", base, trials)
+			d, err := measureMTTR(up, n, mode == "cold", base, trials)
 			os.RemoveAll(base)
 			if err != nil {
 				return fmt.Errorf("shards=%d mode=%s: %w", n, mode, err)
@@ -236,10 +255,10 @@ func runMTTR(c *chain.Chain, shardCounts []int, trials int, bench bool) error {
 
 // measureMTTR runs the kill/recover trials for one (shard count, mode)
 // cell and returns the median recovery time.
-func measureMTTR(c *chain.Chain, shards int, cold bool, base string, trials int) (time.Duration, error) {
-	tip := c.Height()
+func measureMTTR(up *etl.Store, shards int, cold bool, base string, trials int) (time.Duration, error) {
+	tip := up.Height()
 	part := fed.ByHeight(shards, tip)
-	cluster := fed.FollowChain(c, part, fed.Options{
+	cluster := fed.FollowStore(up, part, fed.Options{
 		PerShardTimeout: time.Minute,
 		CacheSize:       -1, // recovery must be recomputed, never cache-served
 		ShardStore: func(id fed.ShardID) (string, etl.Config) {

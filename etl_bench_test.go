@@ -1,8 +1,8 @@
 package peoplesnet
 
 // ETL benchmarks: ingest throughput (bulk load vs live follow vs
-// steady-state append) and the indexed-vs-fullscan cost of the
-// repeated §3/§4 queries the paper's analyses issue. The fullscan
+// steady-state append) and the indexed-vs-raw-scan cost of the
+// repeated §3/§4 queries the paper's analyses issue. The raw-scan
 // variants read raw blocks the way the seed analyses did; the indexed
 // variants resolve through the etl store's posting lists and
 // materialized aggregates. Same world-caching and scale knobs as
@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"peoplesnet/internal/chain"
@@ -87,7 +86,7 @@ func BenchmarkETLIngest_Append(b *testing.B) {
 	}
 }
 
-// --- repeated queries: indexed vs fullscan --------------------------------
+// --- repeated queries: indexed vs raw scan --------------------------------
 
 // Transaction mix (§3, Table 1): materialized aggregate vs full scan.
 func BenchmarkETLQuery_TxnMix_Indexed(b *testing.B) {
@@ -236,9 +235,7 @@ func BenchmarkETLQuery_BalanceHistory_Fullscan(b *testing.B) {
 	}
 }
 
-// Full-history visit: single-goroutine Scan vs the segment worker
-// pool. Parallelism only pays off above the per-segment dispatch cost,
-// which is what this pair quantifies.
+// Full-history visit through the store's single ordered Scan.
 func BenchmarkETLScan_Sequential(b *testing.B) {
 	_, s := etlStore(b)
 	b.ResetTimer()
@@ -484,35 +481,6 @@ func BenchmarkStoreReplay_Full(b *testing.B) {
 		}
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkETLScan_Parallel(b *testing.B) {
-	_, s := etlStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n atomic.Int64
-		s.ScanParallel(etl.All(), etl.Filter{}, 8, func(int64, chain.Txn) bool { n.Add(1); return true })
-		if n.Load() == 0 {
-			b.Fatal("empty scan")
-		}
-	}
-}
-
-// The auto-pick path: workers=0 lets the store estimate matched work
-// from its index counters and available CPUs, falling back to the
-// ordered sequential visit below the crossover. Compare against the
-// _Sequential and _Parallel pins above to verify the heuristic lands
-// on the right side at this scale and CPU count.
-func BenchmarkETLScan_Auto(b *testing.B) {
-	_, s := etlStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n atomic.Int64
-		s.ScanParallel(etl.All(), etl.Filter{}, 0, func(int64, chain.Txn) bool { n.Add(1); return true })
-		if n.Load() == 0 {
-			b.Fatal("empty scan")
 		}
 	}
 }

@@ -21,10 +21,9 @@
 // repeated query costs O(answer) instead of O(chain), and appending N
 // blocks then re-querying costs O(N).
 //
-// Queries run through Scan (ordered, single goroutine) or
-// ScanParallel (a worker pool over segments); Follow returns a tail
-// subscription that replays history and then streams live blocks. The
-// View adapter satisfies internal/core's ChainView, so every existing
+// Queries run through Scan (ordered, single goroutine); Follow
+// returns a tail subscription that replays history and then streams
+// live blocks. The View adapter satisfies internal/core's ChainView, so every existing
 // analysis resolves through the indexes unchanged.
 package etl
 
@@ -39,9 +38,8 @@ import (
 
 // DefaultSegmentBlocks is the seal threshold. Simulated worlds mint
 // one (large) block per simulated day — ~667 blocks for the paper's
-// window — so 64-block segments yield enough units for a worker pool
-// while keeping the linearly-scanned pending buffer small. Real
-// minute-granularity chains would raise this.
+// window — so 64-block segments keep the linearly-scanned pending
+// buffer small. Real minute-granularity chains would raise this.
 const DefaultSegmentBlocks = 64
 
 // Config parameterizes a Store. The zero value is usable: it means

@@ -3,8 +3,6 @@ package etl
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -267,43 +265,6 @@ func TestScanRangeAndFilters(t *testing.T) {
 	}
 }
 
-func TestScanParallelMatchesScan(t *testing.T) {
-	c := worldChain(t, 120)
-	s := New(Config{SegmentBlocks: 16})
-	if err := s.BulkLoad(c); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []Filter{
-		{},
-		{Types: []chain.TxnType{chain.TxnPayment, chain.TxnRewards}},
-		{Actors: []string{"hs-1", "owner-b"}},
-	} {
-		want := collectStore(s, Range{10, 100}, f)
-		var mu sync.Mutex
-		var got []txnRef
-		s.ScanParallel(Range{10, 100}, f, 4, func(h int64, t chain.Txn) bool {
-			mu.Lock()
-			got = append(got, txnRef{h, chain.Hash(t)})
-			mu.Unlock()
-			return true
-		})
-		sortRefs(want)
-		sortRefs(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ScanParallel(%+v): %d txns, want %d", f, len(got), len(want))
-		}
-	}
-}
-
-func sortRefs(rs []txnRef) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].height != rs[j].height {
-			return rs[i].height < rs[j].height
-		}
-		return rs[i].hash < rs[j].hash
-	})
-}
-
 func TestAggregatesMatchRecompute(t *testing.T) {
 	c := worldChain(t, 120)
 	s := FromChain(c)
@@ -530,7 +491,7 @@ func TestFollowChainLive(t *testing.T) {
 					s.Scan(Range{0, 50}, Filter{Types: []chain.TxnType{chain.TxnPayment}},
 						func(int64, chain.Txn) bool { return true })
 				case 2:
-					s.ScanParallel(All(), Filter{Actors: []string{"owner-a"}}, 4,
+					s.Scan(All(), Filter{Actors: []string{"owner-a"}},
 						func(int64, chain.Txn) bool { return true })
 				case 3:
 					s.Stats()
@@ -563,71 +524,5 @@ func TestFollowChainLive(t *testing.T) {
 	// Closing again is a no-op.
 	if err := f.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
-	}
-}
-
-func TestScanParallelAutoPick(t *testing.T) {
-	c := worldChain(t, 60)
-	s := New(Config{SegmentBlocks: 16})
-	if err := s.BulkLoad(c); err != nil {
-		t.Fatal(err)
-	}
-
-	// A store this small is below the crossover, so workers=0 must
-	// take the sequential path — observable through its ordering
-	// guarantee, which the worker pool does not make.
-	var got, want []txnRef
-	s.Scan(All(), Filter{}, func(h int64, tx chain.Txn) bool {
-		want = append(want, txnRef{h, chain.Hash(tx)})
-		return true
-	})
-	s.ScanParallel(All(), Filter{}, 0, func(h int64, tx chain.Txn) bool {
-		got = append(got, txnRef{h, chain.Hash(tx)})
-		return true
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("auto ScanParallel below crossover is not the ordered sequential visit")
-	}
-
-	if w := autoWorkers(s.sealed, Filter{}); w != 1 {
-		t.Errorf("autoWorkers(small store) = %d, want 1", w)
-	}
-
-	// Many fat segments clear both bars on an unfiltered scan. The
-	// pool is capped by the CPUs actually available — on a single-CPU
-	// process the auto pick never parallelizes, so pin GOMAXPROCS for
-	// the duration to make the expectation machine-independent.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
-	fat := make([]*segment, 12)
-	for i := range fat {
-		fat[i] = &segment{txns: 1 << 16}
-	}
-	if w := autoWorkers(fat, Filter{}); w != 8 {
-		t.Errorf("autoWorkers(fat, unfiltered) = %d, want 8", w)
-	}
-	// A single-CPU process always scans sequentially.
-	runtime.GOMAXPROCS(1)
-	if w := autoWorkers(fat, Filter{}); w != 1 {
-		t.Errorf("autoWorkers(fat, 1 CPU) = %d, want 1", w)
-	}
-	// With a few CPUs the pool is capped at the CPU count.
-	runtime.GOMAXPROCS(4)
-	if w := autoWorkers(fat, Filter{}); w != 4 {
-		t.Errorf("autoWorkers(fat, 4 CPUs) = %d, want 4", w)
-	}
-	runtime.GOMAXPROCS(16)
-	// A narrow actor filter matches almost nothing: sequential.
-	if w := autoWorkers(fat, Filter{Actors: []string{"hs-0"}}); w != 1 {
-		t.Errorf("autoWorkers(fat, narrow actor) = %d, want 1", w)
-	}
-	// A conjunctive filter is bounded by its smaller dimension.
-	for i := range fat {
-		fat[i].byType = map[chain.TxnType]*postings{chain.TxnPayment: {n: 1 << 15}}
-	}
-	if w := autoWorkers(fat, Filter{Types: []chain.TxnType{chain.TxnPayment}, Actors: []string{"hs-0"}}); w != 1 {
-		t.Errorf("autoWorkers(fat, type∧actor) = %d, want 1", w)
-	}
-	if w := autoWorkers(fat, Filter{Types: []chain.TxnType{chain.TxnPayment}}); w != 8 {
-		t.Errorf("autoWorkers(fat, hot type) = %d, want 8", w)
 	}
 }

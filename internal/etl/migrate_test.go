@@ -1,126 +1,18 @@
 package etl
 
-// v1 → v2 on-disk migration and ledger-checkpoint lifecycle tests.
-// These live in the internal package because they forge version-1
-// sidecars byte for byte (absolute-uvarint postings, the pre-v2
-// format) and inspect segment internals.
+// Ledger-checkpoint lifecycle and lazy-open tests. These live in the
+// internal package because they read and forge checkpoint and sidecar
+// files directly.
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/wire"
 )
-
-// writeLegacyPostings re-expands a compressed list into the v1 wire
-// form: uvarint count, then absolute uvarint(blk), uvarint(txn) and —
-// on typed lists — the type byte, per posting.
-func writeLegacyPostings(w *wire.Writer, ps *postings, fixed chain.TxnType) {
-	if ps == nil {
-		w.Uvarint(0)
-		return
-	}
-	w.Uvarint(uint64(ps.n))
-	it := ps.iter(fixed)
-	for {
-		p, ok := it.next()
-		if !ok {
-			return
-		}
-		w.Uvarint(uint64(p.blk))
-		w.Uvarint(uint64(p.txn))
-		if ps.typed {
-			w.U8(uint8(p.tt))
-		}
-	}
-}
-
-// encodeIdxFileV1 serializes a loaded segment's sidecar in the exact
-// v1 format: same layout as v2 except the version byte and the
-// absolute (uncompressed) posting encoding.
-func encodeIdxFileV1(g *segment, c *segAgg, indexRewards bool) []byte {
-	var w wire.Writer
-	w.U8(idxLegacyCodecVersion)
-	w.Bool(indexRewards)
-	w.Varint(g.from)
-	w.Varint(g.to)
-	w.Varint(g.txns)
-	w.Varint(g.fromTime.UnixNano())
-	w.Varint(g.toTime.UnixNano())
-
-	mixKeys := make([]int, 0, len(g.mix))
-	for tt := range g.mix {
-		mixKeys = append(mixKeys, int(tt))
-	}
-	sort.Ints(mixKeys)
-	w.Uvarint(uint64(len(mixKeys)))
-	for _, tt := range mixKeys {
-		w.U8(uint8(tt))
-		w.Varint(g.mix[chain.TxnType(tt)])
-	}
-
-	typeKeys := make([]int, 0, len(g.byType))
-	for tt := range g.byType {
-		typeKeys = append(typeKeys, int(tt))
-	}
-	sort.Ints(typeKeys)
-	w.Uvarint(uint64(len(typeKeys)))
-	for _, tt := range typeKeys {
-		w.U8(uint8(tt))
-		writeLegacyPostings(&w, g.byType[chain.TxnType(tt)], chain.TxnType(tt))
-	}
-
-	actors := make([]string, 0, len(g.byActor))
-	for a := range g.byActor {
-		actors = append(actors, a)
-	}
-	sort.Strings(actors)
-	w.Uvarint(uint64(len(actors)))
-	for _, a := range actors {
-		w.Str(a)
-		writeLegacyPostings(&w, g.byActor[a], 0)
-	}
-
-	writeLegacyPostings(&w, g.shared, 0)
-
-	days := make([]int64, 0, len(c.addsPerDay))
-	for d := range c.addsPerDay {
-		days = append(days, d)
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-	w.Uvarint(uint64(len(days)))
-	for _, d := range days {
-		w.Varint(d)
-		w.Varint(c.addsPerDay[d])
-	}
-	writeStrCounts(&w, c.assertsPerGateway)
-	writeStrCounts(&w, c.transfersPerGateway)
-	w.Varint(c.transfers)
-	w.Varint(c.zeroHNT)
-	w.Uvarint(uint64(len(c.closes)))
-	for _, cp := range c.closes {
-		w.Varint(cp.Height)
-		w.Varint(cp.Packets)
-	}
-	w.Varint(c.totalPackets)
-
-	return appendFrame([]byte(idxMagic), w.Buf)
-}
-
-// scanAll maps height → ordered txn hashes through the public scan.
-func scanAll(s *Store) map[int64][]string {
-	out := make(map[int64][]string)
-	s.Scan(All(), Filter{}, func(h int64, t chain.Txn) bool {
-		out[h] = append(out[h], chain.Hash(t))
-		return true
-	})
-	return out
-}
 
 // buildDiskStore ingests a worldChain into a fresh on-disk store and
 // returns the open store and its directory.
@@ -136,90 +28,6 @@ func buildDiskStore(t *testing.T, nBlocks int) (*Store, *chain.Chain, string) {
 		t.Fatalf("BulkLoad: %v", err)
 	}
 	return s, c, dir
-}
-
-// downgradeSidecars rewrites every sealed segment's sidecar in the v1
-// format, simulating a store written by the previous engine.
-func downgradeSidecars(t *testing.T, s *Store, dir string) int {
-	t.Helper()
-	s.Preload()
-	s.mu.RLock()
-	sealed := s.sealed
-	s.mu.RUnlock()
-	n := 0
-	for _, g := range sealed {
-		if g.broken() || !g.loaded() {
-			t.Fatalf("segment [%d,%d] not cleanly loaded before downgrade", g.from, g.to)
-		}
-		// In-memory sealed segments fold aggregates at append time and
-		// never carry a segAgg; recompute it the way durSealLocked does.
-		agg := g.agg
-		if agg == nil {
-			agg = computeSegAgg(g.blocks)
-		}
-		path := join(dir, idxFileName(segFileName(g.from, g.to)))
-		if err := writeFileAtomic(OSFS{}, path, encodeIdxFileV1(g, agg, s.cfg.IndexRewardEntries)); err != nil {
-			t.Fatalf("downgrade sidecar [%d,%d]: %v", g.from, g.to, err)
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("no sealed segments to downgrade")
-	}
-	return n
-}
-
-// TestV1SidecarMigration: a store whose sidecars are all version 1
-// opens cleanly, answers bit-identically to the in-memory reference,
-// upgrades every sidecar in place, and the next open reads pure v2.
-func TestV1SidecarMigration(t *testing.T) {
-	s, c, dir := buildDiskStore(t, 60)
-	want := scanAll(s)
-	wantAgg := s.Aggregates()
-	nSeg := downgradeSidecars(t, s, dir)
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2, err := Open(dir, Config{SegmentBlocks: 8})
-	if err != nil {
-		t.Fatalf("reopen over v1 sidecars: %v", err)
-	}
-	if got := scanAll(s2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1-sidecar store content differs: %d vs %d heights", len(got), len(want))
-	}
-	if gotAgg := s2.Aggregates(); !reflect.DeepEqual(gotAgg, wantAgg) {
-		t.Fatalf("v1-sidecar aggregates differ:\n got %+v\nwant %+v", gotAgg, wantAgg)
-	}
-	ref := FromChain(c)
-	if gotAgg, refAgg := s2.Aggregates(), ref.Aggregates(); !reflect.DeepEqual(gotAgg, refAgg) {
-		t.Fatalf("migrated aggregates differ from fresh re-index:\n got %+v\nwant %+v", gotAgg, refAgg)
-	}
-	h := s2.Health()
-	if h.SidecarsUpgraded != nSeg {
-		t.Fatalf("SidecarsUpgraded = %d, want %d", h.SidecarsUpgraded, nSeg)
-	}
-	if h.SidecarsRebuilt != 0 || h.Quarantined != 0 || len(h.Gaps) != 0 {
-		t.Fatalf("migration reported damage: %+v", h)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatalf("Close after migration: %v", err)
-	}
-
-	// The upgrade republished v2 sidecars: a third open decodes them
-	// directly, with nothing left to upgrade.
-	s3, err := Open(dir, Config{SegmentBlocks: 8})
-	if err != nil {
-		t.Fatalf("reopen after upgrade: %v", err)
-	}
-	defer s3.Close()
-	s3.Preload()
-	if h := s3.Health(); h.SidecarsUpgraded != 0 || h.SidecarsRebuilt != 0 {
-		t.Fatalf("post-upgrade open still rebuilding sidecars: %+v", h)
-	}
-	if got := scanAll(s3); !reflect.DeepEqual(got, want) {
-		t.Fatal("post-upgrade store content differs")
-	}
 }
 
 // TestCheckpointReplayBitIdentical: a replay resumed from a checkpoint
@@ -388,4 +196,25 @@ func TestLazyColdStart(t *testing.T) {
 	if h := s2.Health(); h.SegmentsLoaded != h.Segments {
 		t.Fatalf("Preload left %d of %d segments unloaded", h.Segments-h.SegmentsLoaded, h.Segments)
 	}
+}
+
+// RestampSidecarVersion rewrites the version byte of the sidecar at
+// path and reseals its frame, so the file stays structurally intact and
+// checksum-clean — only the version is foreign. Exported for the
+// external recovery tests.
+func RestampSidecarVersion(path string, version uint8) error {
+	data, err := OSFS{}.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(data) < len(idxMagic) || string(data[:len(idxMagic)]) != idxMagic {
+		return fmt.Errorf("%s: not a sidecar", path)
+	}
+	payload, _, err := readFrame(data[len(idxMagic):])
+	if err != nil {
+		return err
+	}
+	payload = append([]byte(nil), payload...)
+	payload[0] = version
+	return writeFileAtomic(OSFS{}, path, appendFrame([]byte(idxMagic), payload))
 }

@@ -28,11 +28,9 @@ package etl
 // no sidecar rebuilds the sidecar from its blocks; a WAL still holding
 // blocks that a segment file also covers dedupes them by height.
 //
-// Sidecar versions: v1 stored posting lists as absolute uvarint pairs;
-// v2 stores them delta+varint-compressed (postings.go). A v1 sidecar
-// is upgraded in place — rebuilt from its (unchanged, still-v1-format)
-// segment blocks and republished as v2 — the first time its segment
-// loads. Segment files and the WAL are unversioned by this change.
+// Sidecars are versioned (idxCodecVersion); one carrying any other
+// version is treated like a damaged sidecar — rebuilt from its segment
+// blocks and republished the first time its segment loads.
 
 import (
 	"encoding/binary"
@@ -53,9 +51,8 @@ const (
 	segMagic = "PNETLSG1"
 	idxMagic = "PNETLIX1"
 
-	segCodecVersion       = 1
-	idxCodecVersion       = 2
-	idxLegacyCodecVersion = 1
+	segCodecVersion = 1
+	idxCodecVersion = 2
 
 	walFileName = "wal.log"
 	tmpSuffix   = ".tmp"
@@ -84,10 +81,6 @@ var (
 	errFrameTorn    = errors.New("torn frame")
 	errFrameCorrupt = errors.New("corrupt frame")
 )
-
-// errLegacySidecar marks a structurally sound v1 sidecar: not damage,
-// but a format the store upgrades in place by rebuilding from blocks.
-var errLegacySidecar = errors.New("legacy v1 sidecar")
 
 // appendFrame appends one checksummed frame holding payload to dst.
 func appendFrame(dst, payload []byte) []byte {
@@ -178,15 +171,14 @@ type durable struct {
 	// persisted prefix — they exist because their files do.
 	persisted int
 
-	hmu              sync.Mutex
-	persistErr       error  // guarded by hmu; last failed disk sync, retried on the next append
-	quarantined      int    // guarded by hmu
-	sidecarsRebuilt  int    // guarded by hmu; damaged/missing sidecars rebuilt from blocks
-	sidecarsUpgraded int    // guarded by hmu; intact v1 sidecars republished as v2
-	walRecovery      string // guarded by hmu; note from Open: torn/corrupt WAL classification
-	gaps             []Gap  // guarded by hmu
-	ckptHeight       int64  // guarded by hmu; ledger checkpoint height in use, -1 none
-	ckptNote         string // guarded by hmu; how the last ReplayLedger used the checkpoint
+	hmu             sync.Mutex
+	persistErr      error  // guarded by hmu; last failed disk sync, retried on the next append
+	quarantined     int    // guarded by hmu
+	sidecarsRebuilt int    // guarded by hmu; damaged, missing or unknown-version sidecars rebuilt from blocks
+	walRecovery     string // guarded by hmu; note from Open: torn/corrupt WAL classification
+	gaps            []Gap  // guarded by hmu
+	ckptHeight      int64  // guarded by hmu; ledger checkpoint height in use, -1 none
+	ckptNote        string // guarded by hmu; how the last ReplayLedger used the checkpoint
 }
 
 // setPersistErr records (or clears) the last persistence failure.
@@ -230,15 +222,10 @@ func insertGap(gaps []Gap, g Gap) []Gap {
 	return gaps
 }
 
-// noteSidecarRebuild counts a sidecar reconstruction; upgraded
-// distinguishes an intact legacy sidecar from a damaged one.
-func (d *durable) noteSidecarRebuild(upgraded bool) {
+// noteSidecarRebuild counts a sidecar reconstruction.
+func (d *durable) noteSidecarRebuild() {
 	d.hmu.Lock()
-	if upgraded {
-		d.sidecarsUpgraded++
-	} else {
-		d.sidecarsRebuilt++
-	}
+	d.sidecarsRebuilt++
 	d.hmu.Unlock()
 }
 
@@ -288,13 +275,12 @@ type Health struct {
 	PendingBlocks int    `json:"pending_blocks"`
 	// SegmentsLoaded counts segments materialized in memory; a lazily
 	// opened store starts at 0 and climbs as queries touch segments.
-	SegmentsLoaded   int   `json:"segments_loaded"`
-	WALDepth         int   `json:"wal_depth"`
-	WALBytes         int64 `json:"wal_bytes"`
-	Quarantined      int   `json:"quarantined"`
-	SidecarsRebuilt  int   `json:"sidecars_rebuilt"`
-	SidecarsUpgraded int   `json:"sidecars_upgraded,omitempty"`
-	Gaps             []Gap `json:"gaps,omitempty"`
+	SegmentsLoaded  int   `json:"segments_loaded"`
+	WALDepth        int   `json:"wal_depth"`
+	WALBytes        int64 `json:"wal_bytes"`
+	Quarantined     int   `json:"quarantined"`
+	SidecarsRebuilt int   `json:"sidecars_rebuilt"`
+	Gaps            []Gap `json:"gaps,omitempty"`
 	// IngestRetries counts transient persist faults the store's feeder
 	// retried (cumulative); a climbing value on a "healthy" store is a
 	// flapping disk.
@@ -346,7 +332,6 @@ func (d *durable) fillHealth(h *Health) {
 	defer d.hmu.Unlock()
 	h.Quarantined = d.quarantined
 	h.SidecarsRebuilt = d.sidecarsRebuilt
-	h.SidecarsUpgraded = d.sidecarsUpgraded
 	h.Gaps = append([]Gap(nil), d.gaps...)
 	h.WALRecovery = d.walRecovery
 	h.CheckpointHeight = d.ckptHeight
@@ -649,8 +634,7 @@ func writeStrCounts(w *wire.Writer, m map[string]int64) {
 // contribution from its sidecar. blocks are the already-verified
 // segment blocks; every posting list is validated against them. An
 // error here never quarantines anything — the caller falls back to
-// rebuilding the sidecar from the blocks (errLegacySidecar marks the
-// intact-v1 upgrade case specifically).
+// rebuilding the sidecar from the blocks.
 func decodeIdxFile(data []byte, blocks []*chain.Block, wantRewards bool) (*segment, *segAgg, error) {
 	if len(data) < len(idxMagic) || string(data[:len(idxMagic)]) != idxMagic {
 		return nil, nil, errors.New("bad sidecar magic")
@@ -664,9 +648,6 @@ func decodeIdxFile(data []byte, blocks []*chain.Block, wantRewards bool) (*segme
 	}
 	r := wire.NewReader(payload)
 	if v := r.U8(); r.Err() == nil && v != idxCodecVersion {
-		if v == idxLegacyCodecVersion {
-			return nil, nil, errLegacySidecar
-		}
 		return nil, nil, fmt.Errorf("unknown sidecar version %d", v)
 	}
 	if rewards := r.Bool(); r.Err() == nil && rewards != wantRewards {

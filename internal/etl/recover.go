@@ -16,7 +16,6 @@ package etl
 // until Repair sweeps it out and closes the gap from a source chain.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -152,22 +151,19 @@ func (d *durable) loadLazy(g *segment) bool {
 
 // fillSegment completes a stub from its verified blocks: sidecar
 // indexes when the sidecar is sound, otherwise a rebuild from the
-// blocks (republishing the sidecar — also how a v1 sidecar upgrades to
-// the compressed v2 format in place).
+// blocks (republishing the sidecar).
 func (d *durable) fillSegment(g *segment, name string, blocks []*chain.Block) {
-	upgraded := false
 	if idx, err := d.fs.ReadFile(join(d.dir, idxFileName(name))); err == nil {
 		dec, c, derr := decodeIdxFile(idx, blocks, d.indexRewards)
 		if derr == nil {
 			adoptSegment(g, dec, c)
 			return
 		}
-		upgraded = errors.Is(derr, errLegacySidecar)
 	}
 	built := buildSegment(blocks, d.indexRewards)
 	c := computeSegAgg(blocks)
 	adoptSegment(g, built, c)
-	d.noteSidecarRebuild(upgraded)
+	d.noteSidecarRebuild()
 	d.fs.Remove(join(d.dir, idxFileName(name))) // best effort
 	writeFileAtomic(d.fs, join(d.dir, idxFileName(name)), encodeIdxFile(built, c, d.indexRewards))
 }

@@ -390,45 +390,60 @@ func copyStore(t *testing.T, src string) string {
 
 // TestSidecarDamageRebuildsWithoutGap pins the asymmetry: sidecar
 // damage is locally recoverable (the blocks are intact) and must not
-// quarantine the segment.
+// quarantine the segment. A sidecar in a version the store does not
+// speak — such as the pre-compression v1 format — is the same case: its
+// frame is intact, but it is rebuilt from the blocks like damage.
 func TestSidecarDamageRebuildsWithoutGap(t *testing.T) {
 	c := recoverChain(t, 20)
-	dir := filepath.Join(t.TempDir(), "store")
-	s := openTest(t, dir, nil)
-	if err := s.BulkLoad(c); err != nil {
-		t.Fatal(err)
+	inputs := []struct {
+		name   string
+		damage func(path string) error
+	}{
+		{"corrupt", func(path string) error {
+			_, err := faultfs.New(etl.OSFS{}, faultfs.Config{Seed: 7}).CorruptFile(path)
+			return err
+		}},
+		{"version-1", func(path string) error { return etl.RestampSidecarVersion(path, 1) }},
 	}
-	s.Close()
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			s := openTest(t, dir, nil)
+			if err := s.BulkLoad(c); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
 
-	var idx string
-	for _, n := range listStoreFiles(t, dir) {
-		if filepath.Ext(n) == ".idx" {
-			idx = n
-			break
-		}
-	}
-	if idx == "" {
-		t.Fatal("no sidecar written")
-	}
-	ffs := faultfs.New(etl.OSFS{}, faultfs.Config{Seed: 7})
-	if _, err := ffs.CorruptFile(filepath.Join(dir, idx)); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openTest(t, dir, nil)
-	defer s2.Close()
-	s2.Preload() // rebuilds happen at load time under the lazy open
-	h := s2.Health()
-	if h.SidecarsRebuilt != 1 || h.Quarantined != 0 || len(h.Gaps) != 0 {
-		t.Fatalf("sidecar damage mishandled: %+v", h)
-	}
-	requireStoreMatchesChain(t, s2, c)
+			var idx string
+			for _, n := range listStoreFiles(t, dir) {
+				if filepath.Ext(n) == ".idx" {
+					idx = n
+					break
+				}
+			}
+			if idx == "" {
+				t.Fatal("no sidecar written")
+			}
+			if err := in.damage(filepath.Join(dir, idx)); err != nil {
+				t.Fatal(err)
+			}
+			s2 := openTest(t, dir, nil)
+			defer s2.Close()
+			s2.Preload() // rebuilds happen at load time under the lazy open
+			h := s2.Health()
+			if h.SidecarsRebuilt != 1 || h.Quarantined != 0 || len(h.Gaps) != 0 {
+				t.Fatalf("sidecar damage mishandled: %+v", h)
+			}
+			requireStoreMatchesChain(t, s2, c)
 
-	// The rebuild republishes the sidecar, so the next open is clean.
-	s3 := openTest(t, dir, nil)
-	defer s3.Close()
-	s3.Preload()
-	if h := s3.Health(); h.SidecarsRebuilt != 0 {
-		t.Errorf("rebuilt sidecar was not republished: %+v", h)
+			// The rebuild republishes the sidecar, so the next open is clean.
+			s3 := openTest(t, dir, nil)
+			defer s3.Close()
+			s3.Preload()
+			if h := s3.Health(); h.SidecarsRebuilt != 0 {
+				t.Errorf("rebuilt sidecar was not republished: %+v", h)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // benchCluster shares caught-up clusters across benchmark iterations.
 func benchCluster(b *testing.B, c *chain.Chain, part Partition) *Cluster {
 	b.Helper()
-	cl := FollowChain(c, part, Options{})
+	cl := followChain(b, c, part, Options{})
 	b.Cleanup(func() { cl.Close() })
 	if err := cl.WaitHeight(context.Background(), c.Height()); err != nil {
 		b.Fatal(err)

@@ -222,7 +222,7 @@ func runChaosScenario(t *testing.T, part Partition, f chaosFault, seed int64) {
 
 	h := newChaosHarness(t, part.NumShards(), seed, f.torn)
 	live := chain.NewChain(src.Genesis)
-	cl := FollowChain(live, part, h.options())
+	cl := followChain(t, live, part, h.options())
 	defer cl.Close()
 	sup := cl.Supervise(fastSupervision())
 
@@ -300,7 +300,7 @@ func TestDurableFollowerResume(t *testing.T) {
 	h := newChaosHarness(t, 2, 0xd00d, false)
 	live := chain.NewChain(src.Genesis)
 	part := ByHeight(2, blocks[len(blocks)-1].Height)
-	cl := FollowChain(live, part, h.options())
+	cl := followChain(t, live, part, h.options())
 	defer cl.Close()
 	cl.Supervise(fastSupervision())
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
 )
 
@@ -59,33 +58,22 @@ func (sl *nodeSlot) downErr() error {
 // With Options.ShardStore set the nodes are durable, and a Supervisor
 // (see Supervise) can restart crashed or wedged ones in place.
 type Cluster struct {
-	part      Partition
-	opts      Options
-	slots     []*nodeSlot
-	router    *Router
-	sourceTip func() int64
-	newSource func() Source
+	part   Partition
+	opts   Options
+	up     *etl.Store
+	slots  []*nodeSlot
+	router *Router
 
 	mu  sync.Mutex
 	sup *Supervisor // guarded by mu
 }
 
-// FollowChain builds a cluster whose nodes tail a live producer
-// chain, one node per partition slice. Nodes ingest concurrently;
-// use WaitHeight to synchronize with a known tip.
-func FollowChain(c *chain.Chain, part Partition, opts Options) *Cluster {
-	return build(part, opts, c.Height, func() Source { return NewChainSource(c) })
-}
-
 // FollowStore builds a cluster whose nodes tail an upstream etl.Store
-// through its lossless Tail.
+// through its lossless Tail, one node per partition slice. Nodes
+// ingest concurrently; use WaitHeight to synchronize with a known tip.
 func FollowStore(up *etl.Store, part Partition, opts Options) *Cluster {
-	return build(part, opts, up.Height, func() Source { return NewStoreSource(up) })
-}
-
-func build(part Partition, opts Options, tip func() int64, newSource func() Source) *Cluster {
 	n := part.NumShards()
-	cl := &Cluster{part: part, opts: opts, sourceTip: tip, newSource: newSource}
+	cl := &Cluster{part: part, opts: opts, up: up}
 	shards := make([]Shard, n)
 	for i := 0; i < n; i++ {
 		sl := &nodeSlot{id: ShardID(i)}
@@ -99,7 +87,7 @@ func build(part Partition, opts Options, tip func() int64, newSource func() Sour
 		cl.slots = append(cl.slots, sl)
 		shards[i] = &localShard{sl: sl}
 	}
-	cl.router = NewRouter(part, shards, opts, tip)
+	cl.router = NewRouter(part, shards, opts, up.Height)
 	return cl
 }
 
@@ -112,7 +100,7 @@ func (cl *Cluster) startNode(id ShardID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := cl.newSource()
+	src := NewStoreSource(cl.up)
 	if cl.opts.WrapSource != nil {
 		src = cl.opts.WrapSource(id, src)
 	}
@@ -224,7 +212,7 @@ func (cl *Cluster) Kill(id ShardID) error {
 // Shards snapshots every shard's operational state with lag relative
 // to the source tip — the /etl health surface.
 func (cl *Cluster) Shards() []ShardInfo {
-	tip := cl.sourceTip()
+	tip := cl.up.Height()
 	out := make([]ShardInfo, len(cl.slots))
 	for i, sl := range cl.slots {
 		n := sl.current()

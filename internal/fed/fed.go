@@ -1,6 +1,6 @@
 // Package fed is the federated query tier: N shard nodes — each an
-// etl.Store follower tailing the same producer, owning one slice of a
-// partition — behind a router that plans each query against the
+// etl.Store follower tailing the same upstream store, owning one slice
+// of a partition — behind a router that plans each query against the
 // partition (hitting only shards whose slice can contain answers),
 // fans it out in parallel with per-shard timeouts, and merges partial
 // results through pluggable aggregation strategies.

@@ -38,11 +38,26 @@ func testChain(t testing.TB) *chain.Chain {
 	return worldChain
 }
 
+// followChain builds a cluster fed the way the explorer feeds one: an
+// in-memory etl store follows the live chain c, and the shards tail
+// that store.
+func followChain(t testing.TB, c *chain.Chain, part Partition, opts Options) *Cluster {
+	t.Helper()
+	up := etl.New(etl.Config{})
+	f := up.FollowChain(c)
+	t.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			t.Errorf("upstream follower: %v", err)
+		}
+	})
+	return FollowStore(up, part, opts)
+}
+
 // testCluster builds a cluster over c and waits until every shard has
 // ingested the current tip.
 func testCluster(t testing.TB, c *chain.Chain, part Partition, opts Options) *Cluster {
 	t.Helper()
-	cl := FollowChain(c, part, opts)
+	cl := followChain(t, c, part, opts)
 	t.Cleanup(func() {
 		if err := cl.Close(); err != nil {
 			t.Errorf("cluster close: %v", err)
@@ -409,7 +424,7 @@ func TestLiveFollowAndMergedTail(t *testing.T) {
 	blocks := src.Blocks()
 
 	live := chain.NewChain(src.Genesis)
-	cl := FollowChain(live, ByRegion(3), Options{})
+	cl := followChain(t, live, ByRegion(3), Options{})
 	defer cl.Close()
 	tail := cl.Tail(-1)
 	defer tail.Close()

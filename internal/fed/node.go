@@ -19,7 +19,8 @@ var ErrKilled = errors.New("fed: follower killed")
 var errWedged = errors.New("fed: follower wedged")
 
 // Source is the block feed a shard node tails: a blocking iterator
-// over the producer's block sequence. Next returns the first block
+// over the upstream store's block sequence (NewStoreSource, possibly
+// wrapped by Options.WrapSource). Next returns the first block
 // with height beyond after, blocking until one exists; it returns
 // false only after Close. Next is called from a single goroutine (the
 // node's ingest loop); Close may race with it. BlockAt is a random
@@ -33,55 +34,8 @@ type Source interface {
 	Close()
 }
 
-// NewChainSource tails a live chain.Chain through its subscription:
-// the node-facing equivalent of etl's FollowChain, pulling blocks
-// with BlocksFrom so a coalesced signal never loses data.
-func NewChainSource(c *chain.Chain) Source {
-	notify, cancel := c.Subscribe()
-	return &chainSource{c: c, notify: notify, cancel: cancel}
-}
-
-type chainSource struct {
-	c      *chain.Chain
-	notify <-chan struct{}
-	cancel func()
-	// buf holds a fetched suffix not yet handed out; only the ingest
-	// goroutine touches it.
-	buf []*chain.Block
-}
-
-func (s *chainSource) Next(after int64) (*chain.Block, bool) {
-	for {
-		for len(s.buf) > 0 && s.buf[0].Height <= after {
-			s.buf = s.buf[1:]
-		}
-		if len(s.buf) > 0 {
-			b := s.buf[0]
-			s.buf = s.buf[1:]
-			return b, true
-		}
-		s.buf = s.c.BlocksFrom(after)
-		if len(s.buf) > 0 {
-			continue
-		}
-		if _, ok := <-s.notify; !ok {
-			// Canceled. Drain any final suffix appended after the last
-			// signal we consumed, then report end of stream.
-			s.buf = s.c.BlocksFrom(after)
-			if len(s.buf) == 0 {
-				return nil, false
-			}
-		}
-	}
-}
-
-func (s *chainSource) BlockAt(height int64) *chain.Block { return s.c.BlockAt(height) }
-func (s *chainSource) Tip() int64                        { return s.c.Height() }
-func (s *chainSource) Close()                            { s.cancel() }
-
 // NewStoreSource tails an upstream etl.Store through its lossless
-// Tail (Store.Follow), for topologies where shards hang off a primary
-// store rather than the chain producer itself.
+// Tail (Store.Follow): the feed every shard node runs on.
 func NewStoreSource(up *etl.Store) Source {
 	return &storeSource{up: up}
 }

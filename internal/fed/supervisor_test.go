@@ -53,7 +53,7 @@ func TestSupervisorBreakerTransitions(t *testing.T) {
 	var healed atomic.Bool
 
 	part := ByHeight(2, c.Height())
-	cl := FollowChain(c, part, Options{
+	cl := followChain(t, c, part, Options{
 		PerShardTimeout: time.Minute,
 		Quorum:          0.5,
 		CacheSize:       -1,

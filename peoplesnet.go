@@ -80,25 +80,10 @@ type MeasureOptions = core.MeasureOptions
 func DefaultMeasureOptions() MeasureOptions { return core.DefaultMeasureOptions() }
 
 // Measure runs every chain/p2p/IP analysis of §3–§7 over the world.
-// The chain is first loaded into an internal ETL store (the stand-in
-// for the DeWi ETL service the paper queried), so the analyses resolve
-// through its indexes and materialized aggregates rather than raw
-// block scans. MeasureDirect skips the indexing.
-func Measure(w *World) *Study { return MeasureWith(w, DefaultMeasureOptions()) }
-
-// MeasureWith is Measure with explicit analysis cutoffs.
-func MeasureWith(w *World, opts MeasureOptions) *Study {
-	d := core.FromSimulation(w)
-	d.Chain = etl.FromChain(w.Chain).View()
-	return measure(d, w, opts)
-}
-
-// MeasureDirect runs the same suite with full chain scans instead of
-// the ETL indexes — mainly useful for benchmarking one against the
-// other.
-func MeasureDirect(w *World) *Study {
-	return measure(core.FromSimulation(w), w, DefaultMeasureOptions())
-}
+// The chain is first loaded into an ETL store (the stand-in for the
+// DeWi ETL service the paper queried), so the analyses resolve through
+// its indexes and materialized aggregates rather than raw block scans.
+func Measure(w *World) *Study { return MeasureStore(etl.FromChain(w.Chain), w) }
 
 // MeasureStore runs the suite over an already-open ETL store without
 // re-indexing anything: the analyses resolve through the store's

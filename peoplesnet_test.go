@@ -1,8 +1,12 @@
 package peoplesnet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"peoplesnet/internal/core"
+	"peoplesnet/internal/etl"
 )
 
 func TestSimulateMeasureRender(t *testing.T) {
@@ -25,6 +29,43 @@ func TestSimulateMeasureRender(t *testing.T) {
 	}
 	if len(report) < 1500 {
 		t.Fatalf("report too short: %d bytes", len(report))
+	}
+}
+
+// TestStoreMeasureMatchesRawChain pins the store as a lossless read
+// path: the suite measured through MeasureStore equals the suite over
+// a Dataset that scans the raw chain, analysis by analysis and in the
+// rendered report.
+func TestStoreMeasureMatchesRawChain(t *testing.T) {
+	for _, seed := range []uint64{3, 11} {
+		world, err := Simulate(SmallWorld(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := measure(core.FromSimulation(world), world, DefaultMeasureOptions())
+		got := MeasureStore(etl.FromChain(world.Chain), world)
+		for _, a := range []struct {
+			name       string
+			raw, store any
+		}{
+			{"Summary", raw.Summary, got.Summary},
+			{"Moves", raw.Moves, got.Moves},
+			{"Growth", raw.Growth, got.Growth},
+			{"Ownership", raw.Ownership, got.Ownership},
+			{"Resale", raw.Resale, got.Resale},
+			{"Traffic", raw.Traffic, got.Traffic},
+			{"Routers", raw.Routers, got.Routers},
+			{"ISPs", raw.ISPs, got.ISPs},
+			{"Relays", raw.Relays, got.Relays},
+			{"Audit", raw.Audit, got.Audit},
+		} {
+			if !reflect.DeepEqual(a.raw, a.store) {
+				t.Errorf("seed %d: %s differs between the raw chain and the store", seed, a.name)
+			}
+		}
+		if raw.RenderText() != got.RenderText() {
+			t.Errorf("seed %d: rendered report differs between the raw chain and the store", seed)
+		}
 	}
 }
 
