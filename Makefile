@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke perfbench
+.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live bench-field store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke perfbench
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ bench-trend:
 bench-live:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench 'BenchmarkMeasure$$|BenchmarkLiveStudy' -benchmem . | ./bin/benchjson -scale $${PEOPLESNET_BENCH_SCALE:-small}
+
+# §8 field experiments (EXPERIMENTS.md "Field runs"): the §8.1
+# best-case and residential runs, the Fig 15 walks and the Table 2/3
+# ACK-validity walks. Writes BENCH_<date>.json like bench-json, so
+# their ns/op and allocs/op fall under the bench-trend gate.
+bench-field:
+	$(GO) build -o bin/benchjson ./cmd/benchjson
+	$(GO) test -run xxx -bench 'BenchmarkSection81_BasicFunctionality$$|BenchmarkFigure15_WalkCoverage$$|BenchmarkTable[23]_AckValidity' -benchmem . | ./bin/benchjson -scale $${PEOPLESNET_BENCH_SCALE:-small}
 
 # Storage engine v2 numbers (EXPERIMENTS.md "Storage engine v2"):
 # postings compression ratio, cold-start time-to-first-query vs full

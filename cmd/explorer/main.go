@@ -20,7 +20,8 @@
 //	                      and supervisor state (restarts, breaker)
 //	GET /txns             federated transaction search with cursor pagination
 //	                      (?type=payment&actor=<addr>&from=0&to=100&limit=50
-//	                       &cursor=<h>-<seq>&region=<0..23>)
+//	                       &cursor=<h>-<seq>&region=<0..23>; limit is
+//	                       1..1000, default 100)
 //	GET /tail             streams reassembled blocks from the shard tails as
 //	                      NDJSON (?after=<height>&limit=<n>&full=1)
 //
@@ -284,6 +285,11 @@ func (s *server) handleETL(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxTxnsLimit caps /txns?limit=: every shard may return up to a
+// full page, so the cap bounds one request's fan-out and merge work.
+// Larger walks page through next_cursor.
+const maxTxnsLimit = 1000
+
 // handleTxns serves federated transaction search: the query is
 // planned against the shard partition, fanned out, and the per-shard
 // pages k-way merged into one chain-ordered page with a resume
@@ -315,8 +321,8 @@ func (s *server) handleTxns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if v := q.Get("limit"); v != "" {
-		if fq.Limit, err = strconv.Atoi(v); err != nil || fq.Limit < 1 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
+		if fq.Limit, err = strconv.Atoi(v); err != nil || fq.Limit < 1 || fq.Limit > maxTxnsLimit {
+			http.Error(w, fmt.Sprintf("bad limit (want 1..%d)", maxTxnsLimit), http.StatusBadRequest)
 			return
 		}
 	}

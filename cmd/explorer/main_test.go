@@ -225,6 +225,39 @@ func TestTxnsFederatedPagination(t *testing.T) {
 	}
 }
 
+// TestTxnsParamBounds checks that /txns rejects malformed and
+// out-of-range parameters with 400 and accepts the limit bounds.
+func TestTxnsParamBounds(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"limit=1", http.StatusOK},
+		{fmt.Sprintf("limit=%d", maxTxnsLimit), http.StatusOK},
+		{fmt.Sprintf("limit=%d", maxTxnsLimit+1), http.StatusBadRequest},
+		{"limit=1000000000", http.StatusBadRequest},
+		{"limit=0", http.StatusBadRequest},
+		{"limit=-5", http.StatusBadRequest},
+		{"limit=ten", http.StatusBadRequest},
+		{"type=not_a_txn", http.StatusBadRequest},
+		{"from=x", http.StatusBadRequest},
+		{"region=99", http.StatusBadRequest},
+		{"cursor=junk", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(ts.URL + "/txns?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("/txns?%s: status %d, want %d", tc.query, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestStudyEndpoint waits for the live study to catch the store tip,
 // then checks /study reports zero lag and headline numbers that agree
 // with the batch study served by /report.

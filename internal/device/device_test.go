@@ -112,8 +112,9 @@ func TestAckUpdatesLog(t *testing.T) {
 		FCtrl:   lorawan.FCtrl{ACK: true},
 		FCnt:    f.FCnt,
 	}
-	if err := d.HandleDownlink(ack.Marshal(keys.NwkSKey[:]), 1); err != nil {
-		t.Fatal(err)
+	acked, err := d.HandleDownlink(ack.Marshal(keys.NwkSKey[:]), 1)
+	if err != nil || !acked {
+		t.Fatalf("acked = %v, err = %v", acked, err)
 	}
 	log := d.Log()
 	if len(log) != 1 || !log[0].Acked || log[0].AckWindow != 1 {
@@ -127,23 +128,57 @@ func TestAckValidation(t *testing.T) {
 	d.SendCounter(10, geo.Point{})
 	// Wrong DevAddr.
 	wrongAddr := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: 0x99, FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if err := d.HandleDownlink(wrongAddr.Marshal(keys.NwkSKey[:]), 1); err == nil {
+	if _, err := d.HandleDownlink(wrongAddr.Marshal(keys.NwkSKey[:]), 1); err == nil {
 		t.Fatal("foreign downlink accepted")
 	}
 	// Bad MIC.
 	badMic := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if err := d.HandleDownlink(badMic.Marshal([]byte("nope")), 1); err == nil {
+	if _, err := d.HandleDownlink(badMic.Marshal([]byte("nope")), 1); err == nil {
 		t.Fatal("bad MIC downlink accepted")
 	}
 	// Stale FCnt does not mark the latest packet.
 	d.SendCounter(12, geo.Point{})
 	stale := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if err := d.HandleDownlink(stale.Marshal(keys.NwkSKey[:]), 2); err != nil {
+	if _, err := d.HandleDownlink(stale.Marshal(keys.NwkSKey[:]), 2); err != nil {
 		t.Fatal(err)
 	}
 	log := d.Log()
 	if log[len(log)-1].Acked {
 		t.Fatal("stale ACK marked the latest packet")
+	}
+}
+
+// TestHandleDownlinkReportsAck checks the acked result the experiment
+// driver reads in place of the log: true only for an ACK of the most
+// recent uplink, and always in agreement with the log's last record.
+func TestHandleDownlinkReportsAck(t *testing.T) {
+	d := testDevice()
+	keys := acceptJoin(t, d)
+	down := func(ack bool, fcnt uint16) []byte {
+		f := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: ack}, FCnt: fcnt}
+		return f.Marshal(keys.NwkSKey[:])
+	}
+	check := func(name string, wire []byte, window int, want bool) {
+		t.Helper()
+		acked, err := d.HandleDownlink(wire, window)
+		if err != nil || acked != want {
+			t.Fatalf("%s: acked = %v, err = %v; want %v", name, acked, err, want)
+		}
+		if log := d.Log(); len(log) > 0 && log[len(log)-1].Acked != want {
+			t.Fatalf("%s: log's last record Acked = %v, reported %v", name, log[len(log)-1].Acked, acked)
+		}
+	}
+
+	// Empty log: nothing sent yet, so nothing to acknowledge.
+	check("empty log", down(true, 0), 1, false)
+
+	d.SendCounter(1, geo.Point{})
+	check("non-ACK frame", down(false, 1), 1, false)
+	d.SendCounter(2, geo.Point{})
+	check("stale FCnt", down(true, 1), 1, false)
+	check("ACK of last FCnt", down(true, 2), 2, true)
+	if log := d.Log(); log[0].Acked || log[1].AckWindow != 2 {
+		t.Fatalf("log = %+v", log)
 	}
 }
 

@@ -67,8 +67,9 @@ type Config struct {
 	RouterLatencyBase float64
 	RouterLatencyJit  float64
 	RelayPenaltySec   float64
-	// DownlinkLossProb adds downlink-specific loss beyond the PHY
-	// asymmetry (gateway → device is harder, [21]).
+	// DownlinkExtraLossDB is extra receiver loss, in dB, on the
+	// gateway → device path beyond the PHY asymmetry (downlink is
+	// harder, [21]).
 	DownlinkExtraLossDB float64
 	// StaticShadowing freezes one log-normal shadowing draw per
 	// device↔hotspot link for the whole run, with only small fast
@@ -187,7 +188,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fieldtest: no hotspots")
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	devRNG := rng.Split("devices")
 	radioRNG := rng.Split("radio")
 	routerRNG := rng.Split("router")
 
@@ -278,19 +278,38 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// linkRSSI computes the received power on the device↔hotspot link
-	// in either direction using the current shadow draw.
-	linkRSSI := func(hIdx int, p geo.Point, up bool) float64 {
-		h := cfg.Hotspots[hIdx]
-		link := radio.Link{Model: radio.NewPathLoss(h.Env, 915)}
-		if up {
-			link.TxPowerDBm, link.TxGainDBi, link.RxGainDBi = 20, 0, h.GainDBi
-		} else {
-			link.TxPowerDBm, link.TxGainDBi, link.RxGainDBi = 27, h.GainDBi, 0
-			link.NoiseFigure = cfg.DownlinkExtraLossDB
+	// Each device↔hotspot link budget is fixed for the run; only the
+	// distance (for walks) and the fading draws change per packet. A
+	// stationary device's distances, and so its median RSSIs, are
+	// fixed too: medianRSSI[i] holds hotspot i's {uplink, downlink}.
+	links := make([][2]radio.Link, len(cfg.Hotspots))
+	for i, h := range cfg.Hotspots {
+		model := radio.NewPathLoss(h.Env, 915)
+		links[i][up] = radio.Link{Model: model, TxPowerDBm: 20, TxGainDBi: 0, RxGainDBi: h.GainDBi}
+		links[i][down] = radio.Link{Model: model, TxPowerDBm: 27, TxGainDBi: h.GainDBi, RxGainDBi: 0,
+			NoiseFigure: cfg.DownlinkExtraLossDB}
+	}
+	var medianRSSI [][2]float64
+	if cfg.Walk == nil {
+		medianRSSI = make([][2]float64, len(cfg.Hotspots))
+		for i, h := range cfg.Hotspots {
+			dist := geo.HaversineKm(cfg.DeviceLoc, h.Loc)
+			for dir := range links[i] {
+				medianRSSI[i][dir] = links[i][dir].RSSI(dist, nil)
+			}
 		}
-		dist := geo.HaversineKm(p, h.Loc)
-		return link.RSSI(dist, nil) + shadow[hIdx] + radioRNG.Normal(0, 1.5)
+	}
+
+	// linkRSSI computes the received power on the device↔hotspot link
+	// in direction dir using the current shadow draw.
+	linkRSSI := func(hIdx int, p geo.Point, dir int) float64 {
+		var median float64
+		if medianRSSI != nil {
+			median = medianRSSI[hIdx][dir]
+		} else {
+			median = links[hIdx][dir].RSSI(geo.HaversineKm(p, cfg.Hotspots[hIdx].Loc), nil)
+		}
+		return median + shadow[hIdx] + radioRNG.Normal(0, 1.5)
 	}
 
 	// uplinkReceivers returns the indexes of hotspots that decode a
@@ -302,7 +321,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		var rxs []rx
 		for i := range cfg.Hotspots {
-			rssi := linkRSSI(i, p, true)
+			rssi := linkRSSI(i, p, up)
 			if radio.Delivered(rssi, radio.SF9, radio.BW125, radioRNG) {
 				rxs = append(rxs, rx{i, rssi})
 			}
@@ -318,7 +337,7 @@ func Run(cfg Config) (*Result, error) {
 	// deliverDownlink models the gateway→device path with extra loss
 	// for the asymmetry.
 	deliverDownlink := func(hIdx int, p geo.Point) bool {
-		rssi := linkRSSI(hIdx, p, false)
+		rssi := linkRSSI(hIdx, p, down)
 		return radio.Delivered(rssi, radio.SF9, radio.BW500, radioRNG)
 	}
 
@@ -350,7 +369,6 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Ferried: map[string]int{}, RSSIByHotspot: map[string]*stats.CDF{}}
 	missRun := 0
-	_ = devRNG
 	for t < duration {
 		if !cfg.StaticShadowing {
 			resampleShadow()
@@ -393,16 +411,14 @@ func Run(cfg Config) (*Result, error) {
 					cdf = &stats.CDF{}
 					res.RSSIByHotspot[name] = cdf
 				}
-				cdf.Add(linkRSSI(hIdx, p, true))
+				cdf.Add(linkRSSI(hIdx, p, up))
 				if dl != nil && ackDl == nil {
 					ackDl, window, ackVia = dl, w, hIdx
 				}
 			}
 			if ackDl != nil && ackVia >= 0 && deliverDownlink(ackVia, p) {
-				if err := dev.HandleDownlink(ackDl, window); err == nil {
-					log := dev.Log()
-					acked = log[len(log)-1].Acked
-				}
+				// A downlink the device rejects leaves the packet unacked.
+				acked, _ = dev.HandleDownlink(ackDl, window)
 			}
 		}
 		out.Acked = acked
@@ -436,6 +452,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
+
+// Link directions, indexing a hotspot's pair of link budgets.
+const (
+	up   = 0 // device → hotspot
+	down = 1 // hotspot → device
+)
 
 func relayPenalty(cfg Config, hIdx int) float64 {
 	if cfg.Hotspots[hIdx].Relayed {

@@ -1,6 +1,7 @@
 package fieldtest
 
 import (
+	"runtime"
 	"testing"
 
 	"peoplesnet/internal/geo"
@@ -199,5 +200,32 @@ func TestFig16Diagnostics(t *testing.T) {
 				t.Fatalf("ring hotspot %s median %v above own hotspot %v", hs, cdf.Median(), own.Median())
 			}
 		}
+	}
+}
+
+// TestRunAllocationLinear is the regression test for per-packet work
+// that grows with the run: BestCase at 2 and 4 virtual hours (before
+// its first outage, so the traffic mix is the same) must allocate
+// about the same bytes per packet. A driver that copies the device's
+// whole send log for every ACK allocates bytes per packet in
+// proportion to the packets already sent, and fails here.
+func TestRunAllocationLinear(t *testing.T) {
+	bytesPerPacket := func(hours float64) float64 {
+		cfg := BestCase(4)
+		cfg.DurationSec = hours * 3600
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Sent)
+	}
+	short, long := bytesPerPacket(2), bytesPerPacket(4)
+	t.Logf("bytes/packet: 2 h %.0f, 4 h %.0f", short, long)
+	if ratio := long / short; ratio > 1.3 || ratio < 1/1.3 {
+		t.Fatalf("bytes/packet moved %.2fx from 2 h to 4 h (%.0f → %.0f); per-packet cost must not grow with the run",
+			ratio, short, long)
 	}
 }

@@ -111,7 +111,7 @@ func TestFullStackOverUDP(t *testing.T) {
 			t.Fatal(err)
 		}
 		radioHop(frame)
-		if err := dev.HandleDownlink(awaitDownlink(), 1); err != nil {
+		if _, err := dev.HandleDownlink(awaitDownlink(), 1); err != nil {
 			t.Fatalf("packet %d ack: %v", i, err)
 		}
 	}
