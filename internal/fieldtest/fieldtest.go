@@ -279,37 +279,26 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Each device↔hotspot link budget is fixed for the run; only the
-	// distance (for walks) and the fading draws change per packet. A
-	// stationary device's distances, and so its median RSSIs, are
-	// fixed too: medianRSSI[i] holds hotspot i's {uplink, downlink}.
+	// distance (for walks) and the fading draws change per packet.
+	// links[i] holds hotspot i's budgets, indexed by linkUp/linkDown.
+	const (
+		linkUp   = 0 // device → hotspot
+		linkDown = 1 // hotspot → device
+	)
 	links := make([][2]radio.Link, len(cfg.Hotspots))
 	for i, h := range cfg.Hotspots {
 		model := radio.NewPathLoss(h.Env, 915)
-		links[i][up] = radio.Link{Model: model, TxPowerDBm: 20, TxGainDBi: 0, RxGainDBi: h.GainDBi}
-		links[i][down] = radio.Link{Model: model, TxPowerDBm: 27, TxGainDBi: h.GainDBi, RxGainDBi: 0,
+		links[i][linkUp] = radio.Link{Model: model, TxPowerDBm: 20, TxGainDBi: 0, RxGainDBi: h.GainDBi}
+		links[i][linkDown] = radio.Link{Model: model, TxPowerDBm: 27, TxGainDBi: h.GainDBi, RxGainDBi: 0,
 			NoiseFigure: cfg.DownlinkExtraLossDB}
-	}
-	var medianRSSI [][2]float64
-	if cfg.Walk == nil {
-		medianRSSI = make([][2]float64, len(cfg.Hotspots))
-		for i, h := range cfg.Hotspots {
-			dist := geo.HaversineKm(cfg.DeviceLoc, h.Loc)
-			for dir := range links[i] {
-				medianRSSI[i][dir] = links[i][dir].RSSI(dist, nil)
-			}
-		}
 	}
 
 	// linkRSSI computes the received power on the device↔hotspot link
-	// in direction dir using the current shadow draw.
-	linkRSSI := func(hIdx int, p geo.Point, dir int) float64 {
-		var median float64
-		if medianRSSI != nil {
-			median = medianRSSI[hIdx][dir]
-		} else {
-			median = links[hIdx][dir].RSSI(geo.HaversineKm(p, cfg.Hotspots[hIdx].Loc), nil)
-		}
-		return median + shadow[hIdx] + radioRNG.Normal(0, 1.5)
+	// in direction way (linkUp or linkDown) using the current shadow
+	// draw.
+	linkRSSI := func(hIdx int, p geo.Point, way int) float64 {
+		dist := geo.HaversineKm(p, cfg.Hotspots[hIdx].Loc)
+		return links[hIdx][way].RSSI(dist, nil) + shadow[hIdx] + radioRNG.Normal(0, 1.5)
 	}
 
 	// uplinkReceivers returns the indexes of hotspots that decode a
@@ -321,7 +310,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		var rxs []rx
 		for i := range cfg.Hotspots {
-			rssi := linkRSSI(i, p, up)
+			rssi := linkRSSI(i, p, linkUp)
 			if radio.Delivered(rssi, radio.SF9, radio.BW125, radioRNG) {
 				rxs = append(rxs, rx{i, rssi})
 			}
@@ -337,7 +326,7 @@ func Run(cfg Config) (*Result, error) {
 	// deliverDownlink models the gateway→device path with extra loss
 	// for the asymmetry.
 	deliverDownlink := func(hIdx int, p geo.Point) bool {
-		rssi := linkRSSI(hIdx, p, down)
+		rssi := linkRSSI(hIdx, p, linkDown)
 		return radio.Delivered(rssi, radio.SF9, radio.BW500, radioRNG)
 	}
 
@@ -411,7 +400,7 @@ func Run(cfg Config) (*Result, error) {
 					cdf = &stats.CDF{}
 					res.RSSIByHotspot[name] = cdf
 				}
-				cdf.Add(linkRSSI(hIdx, p, up))
+				cdf.Add(linkRSSI(hIdx, p, linkUp))
 				if dl != nil && ackDl == nil {
 					ackDl, window, ackVia = dl, w, hIdx
 				}
@@ -452,12 +441,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
-
-// Link directions, indexing a hotspot's pair of link budgets.
-const (
-	up   = 0 // device → hotspot
-	down = 1 // hotspot → device
-)
 
 func relayPenalty(cfg Config, hIdx int) float64 {
 	if cfg.Hotspots[hIdx].Relayed {

@@ -96,12 +96,15 @@ type SessionKeys struct {
 // spec's AES construction (equivalent strength, stdlib-only).
 func DeriveSessionKeys(appKey AppKey, devNonce uint16, joinNonce uint32) SessionKeys {
 	derive := func(label byte) [16]byte {
+		mac := hmac.New(sha256.New, appKey[:])
 		var buf [7]byte
 		buf[0] = label
 		binary.BigEndian.PutUint16(buf[1:3], devNonce)
 		binary.BigEndian.PutUint32(buf[3:7], joinNonce)
-		sum := hmacSHA256(appKey[:], buf[:])
-		return [16]byte(sum[:16])
+		mac.Write(buf[:])
+		var out [16]byte
+		copy(out[:], mac.Sum(nil))
+		return out
 	}
 	return SessionKeys{NwkSKey: derive(0x01), AppSKey: derive(0x02)}
 }
@@ -161,39 +164,11 @@ func fctrlFromByte(b byte) FCtrl {
 // computeMIC calculates the integrity code with the given key over the
 // serialized frame sans MIC.
 func computeMIC(key []byte, body []byte) [4]byte {
-	sum := hmacSHA256(key, body)
-	return [4]byte(sum[:4])
-}
-
-// hmacSHA256 is HMAC-SHA256 (RFC 2104), byte for byte what crypto/hmac
-// computes, but with the key pads and the digest on the stack
-// (TestMICAllocationFree pins that): every frame is MIC'd on marshal
-// and again on verify, and crypto/hmac's per-call allocations were
-// about half of what a field run allocated.
-func hmacSHA256(key, msg []byte) [sha256.Size]byte {
-	var pad [sha256.BlockSize]byte
-	if len(key) > sha256.BlockSize {
-		sum := sha256.Sum256(key)
-		copy(pad[:], sum[:])
-	} else {
-		copy(pad[:], key)
-	}
-	for i := range pad {
-		pad[i] ^= 0x36 // ipad
-	}
-	h := sha256.New()
-	h.Write(pad[:])
-	h.Write(msg)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	for i := range pad {
-		pad[i] ^= 0x36 ^ 0x5c // ipad → opad
-	}
-	h.Reset()
-	h.Write(pad[:])
-	h.Write(sum[:])
-	h.Sum(sum[:0])
-	return sum
+	mac := hmac.New(sha256.New, key)
+	mac.Write(body)
+	var mic [4]byte
+	copy(mic[:], mac.Sum(nil))
+	return mic
 }
 
 // Errors returned by the codec.

@@ -2,13 +2,8 @@ package lorawan
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
 	"testing"
 	"testing/quick"
-
-	"peoplesnet/internal/stats"
 )
 
 var testKey = []byte("0123456789abcdef")
@@ -121,64 +116,6 @@ func TestSessionKeyDerivation(t *testing.T) {
 	}
 	if a.NwkSKey == a.AppSKey {
 		t.Fatal("network and app keys identical")
-	}
-}
-
-// TestMICMatchesCryptoHMAC checks the inline HMAC against crypto/hmac
-// over random keys (shorter than, equal to and longer than the SHA-256
-// block) and random bodies, and the session-key derivation that
-// shares it.
-func TestMICMatchesCryptoHMAC(t *testing.T) {
-	rng := stats.NewRNG(13)
-	randBytes := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rng.Uint64())
-		}
-		return b
-	}
-	for i := 0; i < 500; i++ {
-		key := randBytes(rng.Intn(2*sha256.BlockSize + 8))
-		body := randBytes(rng.Intn(300))
-		mac := hmac.New(sha256.New, key)
-		mac.Write(body)
-		want := mac.Sum(nil)
-		if got := hmacSHA256(key, body); !bytes.Equal(got[:], want) {
-			t.Fatalf("key %d bytes, body %d bytes: hmac %x, crypto/hmac %x", len(key), len(body), got, want)
-		}
-		if got := computeMIC(key, body); !bytes.Equal(got[:], want[:4]) {
-			t.Fatalf("key %d bytes, body %d bytes: MIC %x, want %x", len(key), len(body), got, want[:4])
-		}
-	}
-	var appKey AppKey
-	copy(appKey[:], randBytes(len(appKey)))
-	keys := DeriveSessionKeys(appKey, 0x1234, 0xABCDEF)
-	for label, got := range map[byte][16]byte{0x01: keys.NwkSKey, 0x02: keys.AppSKey} {
-		buf := []byte{label, 0, 0, 0, 0, 0, 0}
-		binary.BigEndian.PutUint16(buf[1:3], 0x1234)
-		binary.BigEndian.PutUint32(buf[3:7], 0xABCDEF)
-		mac := hmac.New(sha256.New, appKey[:])
-		mac.Write(buf)
-		if want := mac.Sum(nil); !bytes.Equal(got[:], want[:16]) {
-			t.Fatalf("session key %#x = %x, want %x", label, got, want[:16])
-		}
-	}
-}
-
-// TestMICAllocationFree pins the MIC at zero heap allocations: every
-// frame is MIC'd on marshal and on verify.
-func TestMICAllocationFree(t *testing.T) {
-	body := make([]byte, 9+24) // a counter-app data frame body
-	if n := testing.AllocsPerRun(100, func() { computeMIC(testKey, body) }); n != 0 {
-		t.Fatalf("computeMIC: %v allocs/op, want 0", n)
-	}
-}
-
-func BenchmarkComputeMIC(b *testing.B) {
-	body := make([]byte, 9+24)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		computeMIC(testKey, body)
 	}
 }
 
